@@ -35,8 +35,8 @@ from .netgame import (
     NetworkCreationGame,
     PurchaseProfile,
     UtilitySpec,
+    _reach_totals,
     make_profile,
-    neighborhood_counts,
     redundant_edges,
 )
 from .social_matrix import SocialRangeMatrix, build_archetype
@@ -290,8 +290,9 @@ def windfall_experiment(config: NetGameConfig, F: SocialRangeMatrix, flips, dire
 
     base = enumerate_pne(config, F)
     flipped = enumerate_pne(config, flipped_matrix)
-    # with unit self-weights every pair keeps at least one arrangement
-    assert base.worst_pne_cost is not None and flipped.worst_pne_cost is not None
+    if base.worst_pne_cost is None or flipped.worst_pne_cost is None:
+        # with unit self-weights every pair keeps at least one arrangement
+        raise RuntimeError("a flip comparison found a game with no equilibrium")
 
     worst_delta = flipped.worst_pne_cost - base.worst_pne_cost
     best_delta = flipped.best_pne_cost - base.best_pne_cost
@@ -477,17 +478,9 @@ def _check_uniform_society(grid):
     return verdicts
 
 
-def _is_connected(graph: InducedGraph) -> bool:
-    return all(
-        sum(neighborhood_counts(graph, i, graph.n - 1)) == graph.n - 1
-        for i in range(graph.n)
-    )
-
-
 def _diameter_at_most(graph: InducedGraph, d: int) -> bool:
     return all(
-        sum(neighborhood_counts(graph, i, d)) == graph.n - 1
-        for i in range(graph.n)
+        reach == graph.n - 1 for reach in _reach_totals(graph.n, d, graph.edges)
     )
 
 
@@ -534,9 +527,9 @@ def _check_optimum_topology(grid):
         graphs = social_optimum_graphs(config)
         bad = None
         for graph in graphs:
-            is_tree = len(graph.edges) == n - 1 and _is_connected(graph)
+            # n-1 edges and every pair within min(R, n-1) hops: a short tree
             if not (
-                is_tree
+                len(graph.edges) == n - 1
                 and _diameter_at_most(graph, min(R, n - 1))
                 and not redundant_edges(config, graph_to_profile(graph)).redundant
             ):

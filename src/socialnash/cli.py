@@ -36,7 +36,12 @@ from .equilibrium import (
     enumerate_pne,
 )
 from .netgame import NetGameConfig, UtilitySpec, dump_dot, load_config, load_profile
-from .social_matrix import DegenerateMatrixError, build_archetype, load_matrix
+from .social_matrix import (
+    DegenerateMatrixError,
+    build_archetype,
+    load_matrix,
+    matrix_payload,
+)
 
 __all__ = ["main"]
 
@@ -58,16 +63,6 @@ def _cost_json(value: Dual | None):
 
 def _profile_json(profile):
     return [sorted(targets) for targets in profile]
-
-
-def _matrix_json(matrix):
-    return {
-        "n": matrix.n,
-        "entries": [
-            [format_weight(matrix[i, j]) for j in range(matrix.n)]
-            for i in range(matrix.n)
-        ],
-    }
 
 
 def _report_json(report: EquilibriumReport) -> dict:
@@ -231,8 +226,8 @@ def _windfall_json(report) -> dict:
         "n": report.config.n,
         "alpha": str(report.config.alpha),
         "flips": [list(flip) for flip in report.flips],
-        "base_matrix": _matrix_json(report.base_matrix),
-        "flipped_matrix": _matrix_json(report.flipped_matrix),
+        "base_matrix": matrix_payload(report.base_matrix),
+        "flipped_matrix": matrix_payload(report.flipped_matrix),
         "base": _report_json(report.base),
         "flipped": _report_json(report.flipped),
         "worst_delta": _cost_json(report.worst_delta),
@@ -345,12 +340,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="socialnash",
         description="Equilibrium tools for network formation under social preference matrices.",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="reserved for future randomized modes; every current command is deterministic",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -22,6 +22,8 @@ from .netgame import (
     NetworkCreationGame,
     PurchaseProfile,
     UtilitySpec,
+    _reach_counts,
+    induce_graph,
 )
 from .social_matrix import SocialRangeMatrix
 
@@ -281,12 +283,12 @@ def enumerate_pne(config: NetGameConfig, F: SocialRangeMatrix, n_cap: int = 4, m
             worst = cost
         if best is None or cost < best:
             best = cost
-    if best is not None:
-        assert best >= optimum.cost, "an equilibrium undercut the social optimum"
+    if best is not None and best < optimum.cost:
+        raise RuntimeError("an equilibrium undercut the social optimum")
 
     by_topology: dict = {}
     for p, cost in pne:
-        edges = tuple(sorted(induced_edges(p)))
+        edges = tuple(sorted(induce_graph(p).edges))
         if edges in by_topology:
             by_topology[edges][0] += 1
         else:
@@ -310,13 +312,6 @@ def enumerate_pne(config: NetGameConfig, F: SocialRangeMatrix, n_cap: int = 4, m
     )
 
 
-def induced_edges(profile) -> frozenset[tuple[int, int]]:
-    buys = tuple(profile)
-    return frozenset(
-        (i, j) if i < j else (j, i) for i, targets in enumerate(buys) for j in targets
-    )
-
-
 @dataclass(frozen=True)
 class OptimumResult:
     graph: InducedGraph
@@ -337,22 +332,37 @@ def _benefit_table(n: int, R: int, g: UtilitySpec) -> tuple:
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
         total = gains[0] * n  # zero, but keeps the float/exact type uniform
-        for i in range(n):
-            visited = frontier = 1 << i
-            for _ in range(R):
-                if not frontier:
-                    break
-                reached = 0
-                probe = frontier
-                while probe:
-                    low = probe & -probe
-                    reached |= adjacency[low.bit_length() - 1]
-                    probe ^= low
-                frontier = reached & ~visited
-                visited |= frontier
-            total += gains[visited.bit_count() - 1]
+        for reach in _reach_counts(adjacency, R):
+            total += gains[reach]
         table.append(total)
     return tuple(table)
+
+
+def _cost_scan(config: NetGameConfig):
+    """One pass over every edge mask, in mask order.
+
+    Yields (mask, cost, improved) for each mask whose cost is at most the
+    running minimum; improved marks a new strict minimum, so the masks
+    yielded since the last improvement are exactly the minimizers.
+    """
+    n = config.n
+    if n > 7:
+        raise SizeCapError(f"{n} players exceeds the 7-player optimum search cap")
+    benefits = _benefit_table(n, config.R, config.g)
+    best = -benefits[0]
+    yield 0, best, True
+    for mask in range(1, len(benefits)):
+        value = config.alpha * mask.bit_count() - benefits[mask]
+        order = _cmp_parts(value, best)
+        if order < 0:
+            best = value
+        if order <= 0:
+            yield mask, value, order < 0
+
+
+def _mask_graph(n: int, mask: int) -> InducedGraph:
+    pairs = combinations(range(n), 2)
+    return InducedGraph(n, frozenset(e for b, e in enumerate(pairs) if mask >> b & 1))
 
 
 def brute_force_social_optimum(config: NetGameConfig) -> OptimumResult:
@@ -363,19 +373,10 @@ def brute_force_social_optimum(config: NetGameConfig) -> OptimumResult:
     with one payer per edge cover all minimizers.  Of the minimizers, the
     one with the lowest edge mask wins and the lower endpoint pays.
     """
-    n = config.n
-    if n > 7:
-        raise SizeCapError(f"{n} players exceeds the 7-player optimum search cap")
-    pairs = list(combinations(range(n), 2))
-    benefits = _benefit_table(n, config.R, config.g)
-    best_mask = 0
-    best_value = -benefits[0]
-    for mask in range(1, 1 << len(pairs)):
-        value = config.alpha * mask.bit_count() - benefits[mask]
-        if _cmp_parts(value, best_value) < 0:
+    for mask, value, improved in _cost_scan(config):
+        if improved:
             best_mask, best_value = mask, value
-    edges = frozenset(pairs[b] for b in range(len(pairs)) if best_mask >> b & 1)
-    graph = InducedGraph(n, edges)
+    graph = _mask_graph(config.n, best_mask)
     return OptimumResult(graph=graph, cost=Dual(best_value), profile=graph_to_profile(graph))
 
 
@@ -385,27 +386,12 @@ def social_optimum_graphs(config: NetGameConfig) -> tuple[InducedGraph, ...]:
     Useful when a claim is about the whole minimizer set (the clique
     and only the clique, every minimizer is a tree, ...).
     """
-    n = config.n
-    if n > 7:
-        raise SizeCapError(f"{n} players exceeds the 7-player optimum search cap")
-    pairs = list(combinations(range(n), 2))
-    benefits = _benefit_table(n, config.R, config.g)
-    best_value = None
     masks: list[int] = []
-    for mask in range(1 << len(pairs)):
-        value = config.alpha * mask.bit_count() - benefits[mask]
-        order = 0 if best_value is None else _cmp_parts(value, best_value)
-        if best_value is None or order < 0:
-            best_value = value
-            masks = [mask]
-        elif order == 0:
-            masks.append(mask)
-    return tuple(
-        InducedGraph(
-            n, frozenset(pairs[b] for b in range(len(pairs)) if mask >> b & 1)
-        )
-        for mask in masks
-    )
+    for mask, _, improved in _cost_scan(config):
+        if improved:
+            masks.clear()
+        masks.append(mask)
+    return tuple(_mask_graph(config.n, mask) for mask in masks)
 
 
 def graph_to_profile(graph: InducedGraph) -> PurchaseProfile:

@@ -210,25 +210,44 @@ def neighborhood_counts(graph: InducedGraph, i: int, R: int) -> tuple[int, ...]:
     """Sizes of the hop-distance layers 1..R around player i."""
     if R < 0:
         raise ValueError("radius must be nonnegative")
+    # layer k is reach within k hops minus reach within k-1; reach stops
+    # growing after n hops
+    reach = [
+        _reach_totals(graph.n, min(k, graph.n), graph.edges)[i] for k in range(R + 1)
+    ]
+    return tuple(b - a for a, b in zip(reach, reach[1:]))
+
+
+def _reach_counts(adjacency, R: int) -> tuple[int, ...]:
+    """Players within R hops of every node; adjacency[u] is u's neighbor bitmask.
+
+    This is the package's only hop loop: every reach figure comes from here.
+    """
     counts = []
-    visited = {i}
-    frontier = {i}
-    for _ in range(R):
-        if frontier:
-            reached = set()
-            for u in frontier:
-                reached.update(graph.adjacency[u])
-            frontier = reached - visited
+    for i in range(len(adjacency)):
+        visited = frontier = 1 << i
+        for _ in range(R):
+            reached = 0
+            while frontier:
+                low = frontier & -frontier
+                reached |= adjacency[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reached & ~visited
+            if not frontier:
+                break
             visited |= frontier
-        counts.append(len(frontier))
+        counts.append(visited.bit_count() - 1)
     return tuple(counts)
 
 
 @lru_cache(maxsize=1 << 18)
 def _reach_totals(n: int, R: int, edges: frozenset) -> tuple[int, ...]:
     """Players within R hops, for every start node of the given graph."""
-    graph = InducedGraph(n, edges)
-    return tuple(sum(neighborhood_counts(graph, i, R)) for i in range(n))
+    adjacency = [0] * n
+    for i, j in edges:
+        adjacency[i] |= 1 << j
+        adjacency[j] |= 1 << i
+    return _reach_counts(adjacency, R)
 
 
 def actual_cost(config: NetGameConfig, profile, i: int) -> Dual:

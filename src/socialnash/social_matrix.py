@@ -24,6 +24,7 @@ __all__ = [
     "build_archetype",
     "ARCHETYPES",
     "load_matrix",
+    "matrix_payload",
     "dump_matrix_json",
     "dump_matrix_csv",
 ]
@@ -316,12 +317,16 @@ ARCHETYPES = (
 # -- serialization ------------------------------------------------------
 
 
-def dump_matrix_json(matrix: SocialRangeMatrix) -> str:
-    payload = {
+def matrix_payload(matrix: SocialRangeMatrix) -> dict:
+    """The JSON-ready form of a matrix: its size and canonical entry tokens."""
+    return {
         "n": matrix.n,
         "entries": [[format_weight(v) for v in row] for row in matrix.entries],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def dump_matrix_json(matrix: SocialRangeMatrix) -> str:
+    return json.dumps(matrix_payload(matrix), indent=2, sort_keys=True) + "\n"
 
 
 def dump_matrix_csv(matrix: SocialRangeMatrix) -> str:

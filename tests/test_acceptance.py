@@ -33,6 +33,7 @@ from socialnash.netgame import (
     NetworkCreationGame,
     UtilitySpec,
     dump_config_json,
+    _reach_totals,
     make_profile,
     neighborhood_counts,
 )
@@ -363,8 +364,10 @@ def test_criterion_09_oracle_and_shortcut_agreement(record_criterion, epsilon_di
         edges = random_edge_set(rng, n, rng.choice((0.15, 0.3, 0.5, 0.75)))
         graph = InducedGraph(n, edges)
         for i, radius in product(range(n), (1, 2, 3)):
-            if neighborhood_counts(graph, i, radius) != layer_counts(
-                n, edges, i, radius
+            oracle = layer_counts(n, edges, i, radius)
+            if (
+                neighborhood_counts(graph, i, radius) != oracle
+                or _reach_totals(n, radius, edges)[i] != sum(oracle)
             ):
                 layer_mismatches += 1
 

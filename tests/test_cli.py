@@ -139,6 +139,20 @@ def test_optimum_empty_for_expensive_links(tmp_path, capsys):
     assert payload["social_cost"]["exact"] == "0"
 
 
+def test_optimum_reads_the_documented_power_key(tmp_path, capsys):
+    game = tmp_path / "game.json"
+    game.write_text(
+        json.dumps({"n": 3, "alpha": "3/2", "R": 1, "g": {"kind": "power", "p": "2"}}),
+        encoding="utf-8",
+    )
+    code, payload = run_json(capsys, ["optimum", "--game", str(game)])
+    assert code == 0
+    # the triangle: 3 links at 3/2 against three groups of size 2, each worth 4
+    assert payload["edges"] == [[0, 1], [0, 2], [1, 2]]
+    assert payload["profile"] == [[1, 2], [2], []]
+    assert payload["social_cost"] == {"exact": "-15/2", "decimal": -7.5}
+
+
 # -- dynamics ---------------------------------------------------------------
 
 
@@ -370,12 +384,6 @@ def test_classify_monarchy(tmp_path, capsys):
 
 
 # -- global behavior ----------------------------------------------------------
-
-
-def test_seed_flag_is_accepted(tmp_path, capsys, identity3):
-    game, _ = write_config(tmp_path, "game.json", 3, "3/2")
-    assert main(["--seed", "7", "enumerate", "--game", game, "--matrix", identity3]) == 0
-    capsys.readouterr()
 
 
 def test_outputs_are_deterministic(tmp_path, capsys, identity3):

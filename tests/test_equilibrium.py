@@ -1,6 +1,7 @@
 """Equilibrium enumeration, the pairwise link rule, optima, and dynamics."""
 
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -14,7 +15,6 @@ from socialnash.equilibrium import (
     edge_rule_profile,
     enumerate_pne,
     graph_to_profile,
-    induced_edges,
     isolated_is_ne,
     iter_edge_rule_pne,
     profile_key,
@@ -29,9 +29,12 @@ from socialnash.netgame import (
     NetworkCreationGame,
     PurchaseProfile,
     UtilitySpec,
+    induce_graph,
     make_profile,
 )
 from socialnash.social_matrix import SocialRangeMatrix, build_archetype
+
+from helpers import all_pairs_distances
 
 
 def linear_config(n, alpha, R=1):
@@ -147,7 +150,7 @@ def test_family_iteration_is_a_cartesian_product():
     assert len(family) == 8
     assert len(set(family)) == 8
     for member in family:
-        assert induced_edges(member) == frozenset({(0, 1), (0, 2), (1, 2)})
+        assert induce_graph(member).edges == frozenset({(0, 1), (0, 2), (1, 2)})
 
 
 def test_edge_rule_needs_radius_one_linear():
@@ -325,6 +328,47 @@ def test_optimum_size_cap():
 def test_graph_to_profile_lower_endpoint_pays():
     graph = brute_force_social_optimum(linear_config(3, 1)).graph
     assert graph_to_profile(graph) == profile({1, 2}, {2}, set())
+
+
+def test_optimum_scan_matches_distance_oracle():
+    # independent scan: every edge mask in order, reach from Floyd-Warshall
+    utilities = {
+        "linear": lambda n: UtilitySpec.linear(),
+        "power2": lambda n: UtilitySpec.power(2),
+        "table": lambda n: UtilitySpec.table([0, 3, 1, 5, 2][:n]),
+    }
+    alphas = (0, HALF, Fraction(3, 2), 2, 3)
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        graphs = []
+        for mask in range(1 << len(pairs)):
+            edges = frozenset(e for b, e in enumerate(pairs) if mask >> b & 1)
+            dist = all_pairs_distances(n, edges)
+            reach = {
+                R: [sum(1 for d in row if 0 < d <= R) for row in dist]
+                for R in (0, 1, 2, 3)
+            }
+            graphs.append((edges, reach))
+        for R, key, alpha in product((0, 1, 2, 3), utilities, alphas):
+            config = NetGameConfig(n=n, alpha=alpha, R=R, g=utilities[key](n))
+            g = [config.g(x) for x in range(n)]
+            costs = [
+                alpha * len(edges) - sum(g[r] for r in reach[R])
+                for edges, reach in graphs
+            ]
+            low = min(costs)
+            minimizers = [edges for (edges, _), c in zip(graphs, costs) if c == low]
+            point = (n, R, key, alpha)
+            result = brute_force_social_optimum(config)
+            assert result.cost == Dual(low), point
+            assert result.graph.edges == minimizers[0], point
+            found = social_optimum_graphs(config)
+            assert [graph.edges for graph in found] == minimizers, point
+    # at the marginal price every graph ties and the empty one wins
+    for n in range(1, 6):
+        config = linear_config(n, 2)
+        assert len(social_optimum_graphs(config)) == 1 << (n * (n - 1) // 2)
+        assert brute_force_social_optimum(config).graph.edges == frozenset()
 
 
 def test_optimum_with_sqrt_utility():
@@ -575,5 +619,5 @@ def test_adjacency_validation(matrix_rows, alpha, message):
 
 def test_induced_edges_and_profile_key():
     p = profile({1}, {0, 2}, set())
-    assert induced_edges(p) == frozenset({(0, 1), (1, 2)})
+    assert induce_graph(p).edges == frozenset({(0, 1), (1, 2)})
     assert profile_key(p) == ((1,), (0, 2), ())
