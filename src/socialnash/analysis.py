@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 
 from .dual import Dual, EPS, ONE, ZERO, format_weight
@@ -356,26 +357,15 @@ def _fracs(values):
     return tuple(Fraction(v) for v in values)
 
 
-def _all_binary_matrices(n: int, negative: bool):
-    """Every matrix with unit diagonal and off-diagonal in {0, value}."""
-    value = _MINUS_ONE if negative else ONE
+def _mask_matrix(n: int, mask: int, diagonal, value) -> SocialRangeMatrix:
+    """Entry (i, i) is diagonal[i]; off the diagonal, in row-major order,
+    the entry at bit b is value when bit b of mask is set and 0 otherwise."""
     positions = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for mask in range(1 << len(positions)):
-        rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        for bit, (i, j) in enumerate(positions):
-            if mask >> bit & 1:
-                rows[i][j] = value
-        yield mask, SocialRangeMatrix.from_rows(rows)
-
-
-def _eps_diag_binary_matrices(n: int):
-    positions = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for mask in range(1 << len(positions)):
-        rows = [[EPS if i == j else ZERO for j in range(n)] for i in range(n)]
-        for bit, (i, j) in enumerate(positions):
-            if mask >> bit & 1:
-                rows[i][j] = ONE
-        yield mask, SocialRangeMatrix.from_rows(rows)
+    rows = [[diagonal[i] if i == j else ZERO for j in range(n)] for i in range(n)]
+    for bit, (i, j) in enumerate(positions):
+        if mask >> bit & 1:
+            rows[i][j] = value
+    return SocialRangeMatrix.from_rows(rows)
 
 
 def _first_difference(set_a, set_b):
@@ -383,12 +373,16 @@ def _first_difference(set_a, set_b):
     return extra[0] if extra else None
 
 
+# Each checker yields (point, conclusion, witness, note) per parameter
+# point, with conclusion None when the precondition fails; verify_lemma
+# turns these into verdicts.
+
+
 def _check_row_scaling(grid):
     ns = tuple(grid.get("ns", (3,)))
     alphas = _fracs(grid.get("alphas", (Fraction(1, 2), Fraction(3, 2))))
     radii = tuple(grid.get("radii", (1, 2)))
     factors = _fracs(grid.get("factors", (Fraction(7),)))
-    verdicts = []
     index = 0
     for n in ns:
         matrices = [
@@ -417,22 +411,12 @@ def _check_row_scaling(grid):
             after = enumerate_pne(config, F.scale_row(row, factor), method="full")
             set_before = {p for p, _ in before.pne}
             set_after = {p for p, _ in after.pne}
-            conclusion = set_before == set_after
-            verdicts.append(
-                LemmaVerdict(
-                    claim="row-scaling-invariance",
-                    point=(
-                        f"n={n} alpha={alpha} R={R} matrix={name} "
-                        f"row={row} factor={factor}"
-                    ),
-                    precondition=True,
-                    conclusion=conclusion,
-                    counterexample=None
-                    if conclusion
-                    else _first_difference(set_before, set_after),
-                )
+            yield (
+                f"n={n} alpha={alpha} R={R} matrix={name} row={row} factor={factor}",
+                set_before == set_after,
+                _first_difference(set_before, set_after),
+                "",
             )
-    return verdicts
 
 
 def _all_profiles(game: NetworkCreationGame):
@@ -443,7 +427,6 @@ def _check_uniform_society(grid):
     ns = tuple(grid.get("ns", (3,)))
     alphas = _fracs(grid.get("alphas", (Fraction(1, 2), Fraction(3, 2))))
     radii = tuple(grid.get("radii", (1, 2)))
-    verdicts = []
     for n, alpha, R in product(ns, alphas, radii):
         config = NetGameConfig(n, alpha, R, UtilitySpec.linear())
         game = NetworkCreationGame(config)
@@ -461,21 +444,15 @@ def _check_uniform_society(grid):
             ("benevolent/minima", friendly, low),
             ("hostile/maxima", hostile, high),
         ):
-            counter = None
-            for profile, cost in costed:
-                if cost == extreme and not is_pne(game, F, profile):
-                    counter = profile
-                    break
-            verdicts.append(
-                LemmaVerdict(
-                    claim="uniform-society-optima",
-                    point=f"n={n} alpha={alpha} R={R} side={side}",
-                    precondition=True,
-                    conclusion=counter is None,
-                    counterexample=counter,
-                )
+            counter = next(
+                (
+                    profile
+                    for profile, cost in costed
+                    if cost == extreme and not is_pne(game, F, profile)
+                ),
+                None,
             )
-    return verdicts
+            yield f"n={n} alpha={alpha} R={R} side={side}", counter is None, counter, ""
 
 
 def _diameter_at_most(graph: InducedGraph, d: int) -> bool:
@@ -485,12 +462,12 @@ def _diameter_at_most(graph: InducedGraph, d: int) -> bool:
 
 
 def _check_optimum_topology(grid):
-    verdicts = []
     ns = tuple(grid.get("ns", (3, 4, 5)))
     alphas = _fracs(grid.get("alphas", (Fraction(1, 2), Fraction(3, 2), Fraction(3))))
     for n, alpha in product(ns, alphas):
         config = NetGameConfig(n, alpha, 1, UtilitySpec.linear())
         graphs = social_optimum_graphs(config)
+        point = f"n={n} alpha={alpha} R=1"
         full = frozenset(combinations(range(n), 2))
         if alpha < 2:
             conclusion = len(graphs) == 1 and graphs[0].edges == full
@@ -499,53 +476,34 @@ def _check_optimum_topology(grid):
             conclusion = len(graphs) == 1 and not graphs[0].edges
             note = "links cost more than the distance they save"
         else:
-            verdicts.append(
-                LemmaVerdict(
-                    claim="optimum-topology",
-                    point=f"n={n} alpha={alpha} R=1",
-                    precondition=False,
-                    conclusion=None,
-                    note="marginal price: every topology ties",
-                )
-            )
+            yield point, None, None, "marginal price: every topology ties"
             continue
-        verdicts.append(
-            LemmaVerdict(
-                claim="optimum-topology",
-                point=f"n={n} alpha={alpha} R=1",
-                precondition=True,
-                conclusion=conclusion,
-                counterexample=None if conclusion else graph_to_profile(graphs[0]),
-                note=note,
-            )
-        )
+        yield point, conclusion, graph_to_profile(graphs[0]), note
     radii = tuple(grid.get("radii", (2, 3)))
     tree_ns = tuple(grid.get("tree_ns", (4, 5)))
     tree_alphas = _fracs(grid.get("tree_alphas", (Fraction(1, 2), Fraction(3, 2))))
     for n, alpha, R in product(tree_ns, tree_alphas, radii):
         config = NetGameConfig(n, alpha, R, UtilitySpec.linear())
         graphs = social_optimum_graphs(config)
-        bad = None
-        for graph in graphs:
-            # n-1 edges and every pair within min(R, n-1) hops: a short tree
-            if not (
-                len(graph.edges) == n - 1
-                and _diameter_at_most(graph, min(R, n - 1))
-                and not redundant_edges(config, graph_to_profile(graph)).redundant
-            ):
-                bad = graph
-                break
-        verdicts.append(
-            LemmaVerdict(
-                claim="optimum-topology",
-                point=f"n={n} alpha={alpha} R={R}",
-                precondition=True,
-                conclusion=bool(graphs) and bad is None,
-                counterexample=None if bad is None else graph_to_profile(bad),
-                note="every minimizer must be a short tree",
-            )
+        # n-1 edges and every pair within min(R, n-1) hops: a short tree
+        bad = next(
+            (
+                graph
+                for graph in graphs
+                if not (
+                    len(graph.edges) == n - 1
+                    and _diameter_at_most(graph, min(R, n - 1))
+                    and not redundant_edges(config, graph_to_profile(graph)).redundant
+                )
+            ),
+            None,
         )
-    return verdicts
+        yield (
+            f"n={n} alpha={alpha} R={R}",
+            bool(graphs) and bad is None,
+            None if bad is None else graph_to_profile(bad),
+            "every minimizer must be a short tree",
+        )
 
 
 def _utility_for(key: str, n: int) -> UtilitySpec:
@@ -569,7 +527,6 @@ def _check_isolated(grid):
     alphas = _fracs(grid.get("alphas", _DEFAULT_ALPHAS))
     gs = tuple(grid.get("gs", ("linear", "power2", "sqrt", "table")))
     radii = tuple(grid.get("radii", (1, 2)))
-    verdicts = []
     for n, alpha, key, R in product(ns, alphas, gs, radii):
         config = NetGameConfig(n, alpha, R, _utility_for(key, n))
         game = NetworkCreationGame(config)
@@ -577,25 +534,18 @@ def _check_isolated(grid):
         empty = make_profile("isolated", config)
         predicted = isolated_is_ne(config)
         observed = bool(is_pne(game, identity, empty))
-        conclusion = predicted == observed
-        verdicts.append(
-            LemmaVerdict(
-                claim="isolated-equilibrium",
-                point=f"n={n} alpha={alpha} R={R} g={key}",
-                precondition=True,
-                conclusion=conclusion,
-                counterexample=None if conclusion else empty,
-                note=f"condition={predicted} brute_force={observed}",
-            )
+        yield (
+            f"n={n} alpha={alpha} R={R} g={key}",
+            predicted == observed,
+            empty,
+            f"condition={predicted} brute_force={observed}",
         )
-    return verdicts
 
 
 def _check_regular(grid):
     ns = tuple(grid.get("ns", (4, 5, 6)))
     alphas = _fracs(grid.get("alphas", (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(3, 2))))
     gs = tuple(grid.get("gs", ("linear", "power2", "table")))
-    verdicts = []
     for n, alpha, key in product(ns, alphas, gs):
         config = NetGameConfig(n, alpha, 1, _utility_for(key, n))
         game = NetworkCreationGame(config)
@@ -605,53 +555,18 @@ def _check_regular(grid):
             try:
                 holds = regular_ne_condition(config, x)
             except ValueError:
-                verdicts.append(
-                    LemmaVerdict(
-                        claim="regular-graph-equilibrium",
-                        point=point,
-                        precondition=False,
-                        conclusion=None,
-                        note="utility undefined at group size 2x",
-                    )
-                )
+                yield point, None, None, "utility undefined at group size 2x"
                 continue
             if not holds:
-                verdicts.append(
-                    LemmaVerdict(
-                        claim="regular-graph-equilibrium",
-                        point=point,
-                        precondition=False,
-                        conclusion=None,
-                        note="stability condition fails",
-                    )
-                )
-                continue
-            if 2 * x > n - 1:
-                verdicts.append(
-                    LemmaVerdict(
-                        claim="regular-graph-equilibrium",
-                        point=point,
-                        precondition=True,
-                        conclusion=True,
-                        note="no 2x-regular graph on n nodes; claim is vacuous",
-                    )
-                )
-                continue
-            if x == 0:
-                profile = make_profile("isolated", config)
+                yield point, None, None, "stability condition fails"
+            elif 2 * x > n - 1:
+                yield point, True, None, "no 2x-regular graph on n nodes; claim is vacuous"
             else:
-                profile = make_profile("circulant", config, x=x)
-            stable = bool(is_pne(game, identity, profile))
-            verdicts.append(
-                LemmaVerdict(
-                    claim="regular-graph-equilibrium",
-                    point=point,
-                    precondition=True,
-                    conclusion=stable,
-                    counterexample=None if stable else profile,
-                )
-            )
-    return verdicts
+                if x == 0:
+                    profile = make_profile("isolated", config)
+                else:
+                    profile = make_profile("circulant", config, x=x)
+                yield point, bool(is_pne(game, identity, profile)), profile, ""
 
 
 def _check_tree(grid):
@@ -659,59 +574,30 @@ def _check_tree(grid):
     alphas = _fracs(grid.get("alphas", (Fraction(1, 2), Fraction(3, 2), Fraction(3), Fraction(4))))
     radii = tuple(grid.get("radii", (2, 3)))
     gs = tuple(grid.get("gs", ("linear", "power2", "plateau")))
-    verdicts = []
     for n, alpha, R, key in product(ns, alphas, radii, gs):
         config = NetGameConfig(n, alpha, R, _utility_for(key, n))
         game = NetworkCreationGame(config)
         identity = build_archetype("identity", n)
-        holds = tree_ne_condition(config)
         point = f"n={n} alpha={alpha} R={R} g={key}"
-        if not holds:
-            verdicts.append(
-                LemmaVerdict(
-                    claim="bounded-tree-equilibrium",
-                    point=point,
-                    precondition=False,
-                    conclusion=None,
-                    note="growth/price condition fails (boundary-adjusted)",
-                )
-            )
+        if not tree_ne_condition(config):
+            yield point, None, None, "growth/price condition fails (boundary-adjusted)"
             continue
         star = make_profile("star", config)
         stable = bool(is_pne(game, identity, star))
-        verdicts.append(
-            LemmaVerdict(
-                claim="bounded-tree-equilibrium",
-                point=point,
-                precondition=True,
-                conclusion=stable,
-                counterexample=None if stable else star,
-                note="boundary-adjusted: utility indexed within 0..n-1",
-            )
-        )
-    return verdicts
+        yield point, stable, star, "boundary-adjusted: utility indexed within 0..n-1"
 
 
 def _check_edge_rule_existence(grid):
     n = int(grid.get("n", 3))
     alphas = _fracs(grid.get("alphas", (Fraction(1, 2), Fraction(3, 2))))
-    verdicts = []
     for alpha in alphas:
         config = _linear_r1(n, alpha)
         game = NetworkCreationGame(config)
-        for mask, F in _eps_diag_binary_matrices(n):
+        for mask in range(1 << (n * n - n)):
+            F = _mask_matrix(n, mask, (EPS,) * n, ONE)
             profile = edge_rule_profile(config, F)
             stable = bool(is_pne(game, F, profile))
-            verdicts.append(
-                LemmaVerdict(
-                    claim="edge-rule-equilibrium-existence",
-                    point=f"n={n} alpha={alpha} pattern={mask:0{n * n - n}b}",
-                    precondition=True,
-                    conclusion=stable,
-                    counterexample=None if stable else profile,
-                )
-            )
-    return verdicts
+            yield f"n={n} alpha={alpha} pattern={mask:0{n * n - n}b}", stable, profile, ""
 
 
 # off-diagonal 1-patterns for the adjacency reading: first twelve on three
@@ -742,25 +628,13 @@ _ADJACENCY_PATTERNS = (
 _ADJACENCY_DIAGONALS = (EPS, ONE, Dual(Fraction(1, 2)))
 
 
-def _adjacency_matrix(n: int, mask: int) -> SocialRangeMatrix:
-    positions = [(i, j) for i in range(n) for j in range(n) if i != j]
-    rows = [
-        [_ADJACENCY_DIAGONALS[i % 3] if i == j else ZERO for j in range(n)]
-        for i in range(n)
-    ]
-    for bit, (i, j) in enumerate(positions):
-        if mask >> bit & 1:
-            rows[i][j] = ONE
-    return SocialRangeMatrix.from_rows(rows)
-
-
 def _check_adjacency(grid):
     alphas = _fracs(grid.get("alphas", (Fraction(5, 4), Fraction(3, 2), Fraction(7, 4))))
     patterns = tuple(grid.get("patterns", _ADJACENCY_PATTERNS))
-    verdicts = []
     for alpha in alphas:
         for n, mask in patterns:
-            F = _adjacency_matrix(n, mask)
+            diagonal = [_ADJACENCY_DIAGONALS[i % 3] for i in range(n)]
+            F = _mask_matrix(n, mask, diagonal, ONE)
             config = _linear_r1(n, alpha)
             game = NetworkCreationGame(config)
             result = adjacency_equilibrium(F, alpha)
@@ -770,23 +644,13 @@ def _check_adjacency(grid):
                 for i in range(n)
                 for j in range(n)
             )
-            conclusion = stable and symmetric
-            verdicts.append(
-                LemmaVerdict(
-                    claim="adjacency-correspondence",
-                    point=f"n={n} alpha={alpha} pattern={mask:0{n * n - n}b}",
-                    precondition=True,
-                    conclusion=conclusion,
-                    counterexample=None if conclusion else result.profile,
-                )
-            )
-    return verdicts
+            point = f"n={n} alpha={alpha} pattern={mask:0{n * n - n}b}"
+            yield point, stable and symmetric, result.profile, ""
 
 
 def _check_anarchy_monarchy(grid):
     ns = tuple(grid.get("ns", (2, 3, 4, 5, 6)))
     alphas = _fracs(grid.get("alphas", _DEFAULT_ALPHAS))
-    verdicts = []
     for n, alpha in product(ns, alphas):
         result = anarchy_vs_monarchy(n, alpha)
         conclusion = (
@@ -797,27 +661,17 @@ def _check_anarchy_monarchy(grid):
         note = ""
         if not result.star.claim_holds:
             note = "the star is unstable: periphery players profit from a direct link"
-        verdicts.append(
-            LemmaVerdict(
-                claim="anarchy-monarchy-closed-forms",
-                point=f"n={n} alpha={alpha}",
-                precondition=True,
-                conclusion=conclusion,
-                counterexample=None if conclusion else result.star.profile,
-                note=note,
-            )
-        )
-    return verdicts
+        yield f"n={n} alpha={alpha}", conclusion, result.star.profile, note
 
 
-def _flip_sweep(direction: str, grid, *, worst_only: bool, claim: str):
+def _flip_sweep(direction: str, grid, *, worst_only: bool):
     n = int(grid.get("n", 3))
     alphas = _fracs(grid.get("alphas", (Fraction(1, 2), Fraction(3, 2))))
-    negative = direction == "ill_will"
-    verdicts = []
+    value = _MINUS_ONE if direction == "ill_will" else ONE
     for alpha in alphas:
         config = _linear_r1(n, alpha)
-        for mask, F in _all_binary_matrices(n, negative):
+        for mask in range(1 << (n * n - n)):
+            F = _mask_matrix(n, mask, (ONE,) * n, value)
             zeros = [
                 (i, j)
                 for i in range(n)
@@ -837,69 +691,40 @@ def _flip_sweep(direction: str, grid, *, worst_only: bool, claim: str):
                     counter = next(
                         p for p, c in report.flipped.pne if c == worst
                     )
-                verdicts.append(
-                    LemmaVerdict(
-                        claim=claim,
-                        point=(
-                            f"n={n} alpha={alpha} "
-                            f"pattern={mask:0{n * n - n}b} "
-                            f"flip={flip[0]}:{flip[1]}"
-                        ),
-                        precondition=True,
-                        conclusion=conclusion,
-                        counterexample=counter,
-                    )
+                point = (
+                    f"n={n} alpha={alpha} "
+                    f"pattern={mask:0{n * n - n}b} "
+                    f"flip={flip[0]}:{flip[1]}"
                 )
-    return verdicts
+                yield point, conclusion, counter, ""
 
 
-def _check_windfall(grid):
-    return _flip_sweep("friendship", grid, worst_only=False, claim="windfall-of-friendship")
+# (catalog number, registry name, checker), in registry order
+_CATALOG = (
+    ("1", "row-scaling-invariance", _check_row_scaling),
+    ("2", "uniform-society-optima", _check_uniform_society),
+    ("3", "optimum-topology", _check_optimum_topology),
+    ("4", "isolated-equilibrium", _check_isolated),
+    ("5", "regular-graph-equilibrium", _check_regular),
+    ("6", "bounded-tree-equilibrium", _check_tree),
+    ("7", "edge-rule-equilibrium-existence", _check_edge_rule_existence),
+    ("8", "adjacency-correspondence", _check_adjacency),
+    ("9", "anarchy-monarchy-closed-forms", _check_anarchy_monarchy),
+    ("10", "windfall-of-friendship", partial(_flip_sweep, "friendship", worst_only=False)),
+    ("11", "price-of-ill-will", partial(_flip_sweep, "ill_will", worst_only=False)),
+    (
+        "c1",
+        "worst-equilibrium-friendship-monotonicity",
+        partial(_flip_sweep, "friendship", worst_only=True),
+    ),
+)
 
+LEMMA_CLAIMS = tuple(name for _, name, _ in _CATALOG)
 
-def _check_ill_will(grid):
-    return _flip_sweep("ill_will", grid, worst_only=False, claim="price-of-ill-will")
-
-
-def _check_worst_monotonicity(grid):
-    return _flip_sweep(
-        "friendship",
-        grid,
-        worst_only=True,
-        claim="worst-equilibrium-friendship-monotonicity",
-    )
-
-
-_REGISTRY = {
-    "row-scaling-invariance": _check_row_scaling,
-    "uniform-society-optima": _check_uniform_society,
-    "optimum-topology": _check_optimum_topology,
-    "isolated-equilibrium": _check_isolated,
-    "regular-graph-equilibrium": _check_regular,
-    "bounded-tree-equilibrium": _check_tree,
-    "edge-rule-equilibrium-existence": _check_edge_rule_existence,
-    "adjacency-correspondence": _check_adjacency,
-    "anarchy-monarchy-closed-forms": _check_anarchy_monarchy,
-    "windfall-of-friendship": _check_windfall,
-    "price-of-ill-will": _check_ill_will,
-    "worst-equilibrium-friendship-monotonicity": _check_worst_monotonicity,
-}
-
-LEMMA_CLAIMS = tuple(_REGISTRY)
-
-_ALIASES = {
-    "1": "row-scaling-invariance",
-    "2": "uniform-society-optima",
-    "3": "optimum-topology",
-    "4": "isolated-equilibrium",
-    "5": "regular-graph-equilibrium",
-    "6": "bounded-tree-equilibrium",
-    "7": "edge-rule-equilibrium-existence",
-    "8": "adjacency-correspondence",
-    "9": "anarchy-monarchy-closed-forms",
-    "10": "windfall-of-friendship",
-    "11": "price-of-ill-will",
-    "c1": "worst-equilibrium-friendship-monotonicity",
+_CLAIM_IDS = {
+    key: (name, checker)
+    for number, name, checker in _CATALOG
+    for key in (number, name)
 }
 
 
@@ -910,11 +735,21 @@ def verify_lemma(claim, grid=None) -> tuple[LemmaVerdict, ...]:
     "c1").  grid overrides the default parameter ranges per key; unknown
     keys are ignored by checkers that do not use them.
     """
-    key = str(claim).lower()
-    key = _ALIASES.get(key, key)
-    if key not in _REGISTRY:
-        raise ValueError(f"unknown lemma id {claim!r}")
-    return tuple(_REGISTRY[key](dict(grid or {})))
+    try:
+        name, checker = _CLAIM_IDS[str(claim).lower()]
+    except KeyError:
+        raise ValueError(f"unknown lemma id {claim!r}") from None
+    return tuple(
+        LemmaVerdict(
+            claim=name,
+            point=point,
+            precondition=conclusion is not None,
+            conclusion=conclusion,
+            counterexample=witness if conclusion is False else None,
+            note=note,
+        )
+        for point, conclusion, witness, note in checker(dict(grid or {}))
+    )
 
 
 def verify_all(grid=None):

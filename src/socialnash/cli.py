@@ -36,12 +36,7 @@ from .equilibrium import (
     enumerate_pne,
 )
 from .netgame import NetGameConfig, UtilitySpec, dump_dot, load_config, load_profile
-from .social_matrix import (
-    DegenerateMatrixError,
-    build_archetype,
-    load_matrix,
-    matrix_payload,
-)
+from .social_matrix import build_archetype, load_matrix, matrix_payload
 
 __all__ = ["main"]
 
@@ -114,12 +109,24 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _load_game(path: str) -> NetGameConfig:
+    """Read a game config, refusing utilities whose values are not exact
+    rationals: the reports print exact tokens, which those values lack."""
+    config = load_config(_read(path))
+    if not config.g.is_exact:
+        raise ValueError(
+            "the command line prints exact values only, so it does not "
+            "support sqrt or fractional power utilities yet"
+        )
+    return config
+
+
 def _parse_alpha(text: str) -> Fraction:
     return Fraction(text)
 
 
 def _cmd_enumerate(args) -> int:
-    config = load_config(_read(args.game))
+    config = _load_game(args.game)
     matrix = load_matrix(_read(args.matrix))
     report = enumerate_pne(config, matrix, n_cap=args.cap, method=args.method)
     _emit_json(_report_json(report), args.out)
@@ -127,7 +134,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_optimum(args) -> int:
-    config = load_config(_read(args.game))
+    config = _load_game(args.game)
     result = brute_force_social_optimum(config)
     payload = {
         "n": config.n,
@@ -150,7 +157,7 @@ def _parse_schedule(text: str):
 
 
 def _cmd_dynamics(args) -> int:
-    config = load_config(_read(args.game))
+    config = _load_game(args.game)
     matrix = load_matrix(_read(args.matrix))
     initial = None
     if args.start != "empty":
@@ -397,9 +404,6 @@ def main(argv=None) -> int:
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CAP
-    except DegenerateMatrixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INPUT
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT

@@ -422,10 +422,12 @@ def best_response_dynamics(config: NetGameConfig, F: SocialRangeMatrix, initial:
     """Iterated best responses with strict-improvement steps only.
 
     Players move in schedule order; a full pass without any strict
-    improvement means the profile is an equilibrium (converged).  A
-    revisited profile is a cycle, reported with the index of its first
-    appearance in the state sequence (initial state = 0).  The step
-    budget caps the number of applied improvements (cutoff).
+    improvement means the profile is an equilibrium (converged).  What
+    happens next depends on the profile and on who moves next, so a
+    cycle is a profile that recurs at the same schedule position; it is
+    reported with the index of its first appearance in the state
+    sequence (initial state = 0, at position 0).  The step budget caps
+    the number of applied improvements (cutoff).
     """
     if max_steps < 1:
         raise ValueError("need at least one step of budget")
@@ -440,11 +442,11 @@ def best_response_dynamics(config: NetGameConfig, F: SocialRangeMatrix, initial:
     state = tuple(initial) if initial is not None else (frozenset(),) * n
     if len(state) != n:
         raise ValueError(f"initial profile is for {len(state)} players, config for {n}")
-    seen = {state: 0}
+    seen = {(state, 0): 0}
     steps: list[DynamicsStep] = []
     while True:
         improved = False
-        for player in order:
+        for position, player in enumerate(order):
             move = best_deviation(game, F, player, state)
             if move.delta.sign() >= 0:
                 continue
@@ -454,11 +456,12 @@ def best_response_dynamics(config: NetGameConfig, F: SocialRangeMatrix, initial:
             state = state[:player] + (move.strategy,) + state[player + 1 :]
             steps.append(DynamicsStep(player, old, move.strategy, move.delta))
             improved = True
-            if state in seen:
+            key = (state, (position + 1) % len(order))
+            if key in seen:
                 return DynamicsTrace(
-                    tuple(steps), "cycle", PurchaseProfile(state), seen[state]
+                    tuple(steps), "cycle", PurchaseProfile(state), seen[key]
                 )
-            seen[state] = len(steps)
+            seen[key] = len(steps)
         if not improved:
             return DynamicsTrace(tuple(steps), "converged", PurchaseProfile(state))
 

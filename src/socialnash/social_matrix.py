@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dual import Dual, ZERO, format_weight, parse_weight
+from .dual import Dual, ONE, ZERO, format_weight, parse_weight
 
 __all__ = [
     "SocialRangeMatrix",
@@ -28,6 +28,9 @@ __all__ = [
     "dump_matrix_json",
     "dump_matrix_csv",
 ]
+
+
+_MINUS_ONE = Dual(-1)
 
 
 class DegenerateMatrixError(ValueError):
@@ -139,61 +142,42 @@ class SocialRangeMatrix:
     # -- classification -------------------------------------------------
 
     def classify(self) -> SocietyProfile:
+        """Name the societies the matrix is, and its ignorant, ignored and
+        colluding players.
+
+        A society matches when the matrix equals its build_archetype form,
+        with the diagonal entries that society leaves free taken from the
+        matrix: for a monarchy the common non-center diagonal value and the
+        center's own entry, for a benevolent player its own entry.
+        """
         n = self.n
         e = self.entries
-        one = Dual(1)
-
-        def diag_one() -> bool:
-            return all(e[i][i] == one for i in range(n))
-
-        selfish = diag_one() and all(
-            e[i][j] == ZERO for i in range(n) for j in range(n) if i != j
-        )
-        altruistic = all(e[i][j] == one for i in range(n) for j in range(n))
-        malicious = diag_one() and all(
-            e[i][j] == Dual(-1) for i in range(n) for j in range(n) if i != j
-        )
-
-        monarchy_center = None
-        benevolent_player = None
-        one_malicious_player = None
+        monarchy_center = benevolent_player = one_malicious_player = None
         if n >= 2:
-            for k in range(n):
-                # weight 1 on player k from everyone else, all other
-                # off-diagonal entries 0; the non-center diagonal entries
-                # must share one common value and the center's own is free
-                column = all(e[i][k] == one for i in range(n) if i != k)
-                off = all(
-                    e[i][j] == ZERO
-                    for i in range(n)
-                    for j in range(n)
-                    if i != j and j != k
-                )
-                others = [e[i][i] for i in range(n) if i != k]
-                if column and off and all(v == others[0] for v in others):
-                    monarchy_center = k
-                    break
-            for k in range(n):
-                row_k = all(e[k][j] == one for j in range(n) if j != k)
-                rest = all(
-                    e[i][j] == ZERO for i in range(n) if i != k for j in range(n)
-                )
-                if row_k and rest:
-                    benevolent_player = k
-                    break
-            if diag_one():
-                for k in range(n):
-                    row_k = all(e[k][j] == Dual(-1) for j in range(n) if j != k)
-                    rest = all(
-                        e[i][j] == ZERO
-                        for i in range(n)
-                        if i != k
-                        for j in range(n)
-                        if j != i
-                    )
-                    if row_k and rest:
-                        one_malicious_player = k
-                        break
+            # e[k - 1][k - 1] is a non-center diagonal entry for every k
+            monarchy_center = next(
+                (
+                    k
+                    for k in range(n)
+                    if self
+                    == build_archetype(
+                        "monarchy", n, k=k, self_weight=e[k - 1][k - 1]
+                    ).flip_entries([(k, k, e[k][k])], require_zero=False)
+                ),
+                None,
+            )
+            benevolent_player = next(
+                (
+                    k
+                    for k in range(n)
+                    if self == build_archetype("benevolent", n, k=k, self_weight=e[k][k])
+                ),
+                None,
+            )
+            one_malicious_player = next(
+                (k for k in range(n) if self == build_archetype("one_malicious", n, k=k)),
+                None,
+            )
 
         ignorant = tuple(i for i in range(n) if all(v == ZERO for v in e[i]))
         ignored = tuple(
@@ -208,9 +192,9 @@ class SocialRangeMatrix:
         )
 
         return SocietyProfile(
-            selfish=selfish,
-            altruistic=altruistic,
-            malicious=malicious,
+            selfish=self == build_archetype("identity", n),
+            altruistic=self == build_archetype("altruistic", n),
+            malicious=self == build_archetype("malicious", n),
             monarchy_center=monarchy_center,
             benevolent_player=benevolent_player,
             one_malicious_player=one_malicious_player,
@@ -270,7 +254,7 @@ def build_archetype(kind: str, n: int, *, k: int | None = None, self_weight=None
         raise ValueError(f"{kind} takes no distinguished player")
 
     sw = None if self_weight is None else _as_weight(self_weight)
-    one, zero, neg = Dual(1), ZERO, Dual(-1)
+    one, zero, neg = ONE, ZERO, _MINUS_ONE
 
     if kind == "identity":
         rows = [[one if i == j else zero for j in range(n)] for i in range(n)]

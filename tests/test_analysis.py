@@ -277,21 +277,27 @@ def test_flip_claims_small_grid():
 
 
 def test_verify_all_covers_the_registry():
-    results = verify_all(
-        {
-            "ns": (3,),
-            "alphas": ("3/2",),
-            "radii": (2,),
-            "factors": (7,),
-            "gs": ("linear",),
-            "tree_ns": (4,),
-            "tree_alphas": ("3/2",),
-            "patterns": ((3, 0b000001),),
-        }
-    )
+    grid = {
+        "ns": (3,),
+        "alphas": ("3/2",),
+        "radii": (2,),
+        "factors": (7,),
+        "gs": ("linear",),
+        "tree_ns": (4,),
+        "tree_alphas": ("3/2",),
+        "patterns": ((3, 0b000001),),
+    }
+    results = verify_all(grid)
     assert set(results) == set(LEMMA_CLAIMS)
     for name, verdicts in results.items():
         assert verdicts, name
+        for v in verdicts:
+            assert v.claim == name
+            assert v.precondition is (v.conclusion is not None)
+            assert (v.counterexample is not None) is (v.conclusion is False), v
+    numbers = ("1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "c1")
+    for number, name in zip(numbers, LEMMA_CLAIMS):
+        assert verify_lemma(number, grid) == results[name]
 
 
 def test_verdict_csv_rows_carry_flags():

@@ -109,6 +109,28 @@ def test_enumerate_size_mismatch_exit_one(tmp_path, capsys, identity3):
     assert "matrix is 3x3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, g",
+    [
+        ("enumerate", UtilitySpec.sqrt()),
+        ("optimum", UtilitySpec.power(Fraction(3, 2))),
+        ("dynamics", UtilitySpec.sqrt()),
+    ],
+    ids=("enumerate", "optimum", "dynamics"),
+)
+def test_inexact_utilities_are_rejected_up_front(tmp_path, capsys, identity3, command, g):
+    game, _ = write_config(tmp_path, "game.json", 3, "1/2", g=g)
+    argv = [command, "--game", game]
+    if command != "optimum":
+        argv += ["--matrix", identity3]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error:")
+    assert "sqrt or fractional power" in captured.err
+
+
 def test_missing_file_exit_one(tmp_path, capsys, identity3):
     assert main(["enumerate", "--game", str(tmp_path / "nope.json"), "--matrix", identity3]) == 1
     assert "error:" in capsys.readouterr().err

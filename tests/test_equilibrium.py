@@ -425,6 +425,21 @@ def test_dynamics_detects_a_cycle():
     assert [s.player for s in trace.steps] == [0, 1, 0, 1]
 
 
+def test_dynamics_revisit_at_another_schedule_position_is_no_cycle():
+    # The empty profile recurs after 4 steps, but with player 2 to move
+    # instead of player 0, and the run then converges.
+    config = NetGameConfig(
+        n=3, alpha=Fraction(3, 2), R=2, g=UtilitySpec.table([0, 3, 1])
+    )
+    F = rows([["1", "-1/2", "0"], ["-1", "-eps", "0"], ["1", "0", "0"]])
+    trace = best_response_dynamics(config, F)
+    assert trace.outcome == "converged"
+    assert trace.cycle_index is None
+    assert len(trace.steps) == 6
+    assert trace.final == profile(set(), {0, 2}, {0})
+    assert is_pne(NetworkCreationGame(config), F, tuple(trace.final))
+
+
 def test_dynamics_cutoff():
     config = linear_config(2, HALF)
     F = rows([[1, 0], [0, -1]])

@@ -1,6 +1,8 @@
 """Preference matrix construction, normalization, and classification."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -228,6 +230,93 @@ def test_classify_ignored_player():
     profile = mat([[1, 0], [0, 0]]).classify()
     assert profile.ignorant_players == (1,)
     assert profile.ignored_players == (1,)
+
+
+_SOCIETY_FIELDS = (
+    "selfish",
+    "altruistic",
+    "malicious",
+    "monarchy_center",
+    "benevolent_player",
+    "one_malicious_player",
+)
+
+_WEIGHTS = ("0", "1", "-1", "eps", "1/2")
+
+
+def _society_oracle(m):
+    """The six named-society fields, decided entry by entry."""
+    n, e = m.n, m.entries
+    one, neg = Dual(1), Dual(-1)
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    unit_diagonal = all(e[i][i] == one for i in range(n))
+    fields = {
+        "selfish": unit_diagonal and all(e[i][j] == ZERO for i, j in off),
+        "altruistic": all(v == one for row in e for v in row),
+        "malicious": unit_diagonal and all(e[i][j] == neg for i, j in off),
+        "monarchy_center": None,
+        "benevolent_player": None,
+        "one_malicious_player": None,
+    }
+    if n < 2:
+        return fields
+    for k in range(n):
+        # 1 from everyone in column k, 0 elsewhere off the diagonal; the
+        # non-center diagonal entries agree and (k, k) is free
+        if all(e[i][j] == (one if j == k else ZERO) for i, j in off) and (
+            len({e[i][i] for i in range(n) if i != k}) == 1
+        ):
+            fields["monarchy_center"] = k
+            break
+    for k in range(n):
+        # 1 across row k, every other row 0 throughout; (k, k) is free
+        if all(
+            e[i][j] == (one if i == k else ZERO)
+            for i in range(n)
+            for j in range(n)
+            if (i, j) != (k, k)
+        ):
+            fields["benevolent_player"] = k
+            break
+    for k in range(n):
+        if unit_diagonal and all(e[i][j] == (neg if i == k else ZERO) for i, j in off):
+            fields["one_malicious_player"] = k
+            break
+    return fields
+
+
+def _classify_cases():
+    """Every archetype for n = 1..4 with each k and self-weight, every
+    single-entry perturbation of those, and 20,000 random matrices."""
+    weights = [parse_weight(w) for w in _WEIGHTS]
+    bases = []
+    for n in range(1, 5):
+        for kind in ARCHETYPES:
+            ks = range(n) if kind in ("monarchy", "benevolent", "one_malicious") else (None,)
+            fixed = kind in ("identity", "malicious", "one_malicious")
+            self_weights = (None,) if fixed else (None, *weights)
+            bases.extend(
+                build_archetype(kind, n, k=k, self_weight=sw)
+                for k in ks
+                for sw in self_weights
+            )
+    yield from bases
+    for m in bases:
+        for i, j in product(range(m.n), repeat=2):
+            for w in weights:
+                if w != m[i, j]:
+                    yield m.flip_entries([(i, j, w)], require_zero=False)
+    rng = random.Random(2010)
+    for _ in range(20000):
+        n = rng.randint(1, 4)
+        yield mat([[rng.choice(weights) for _ in range(n)] for _ in range(n)])
+
+
+def test_classify_matches_the_entrywise_rules():
+    for m in dict.fromkeys(_classify_cases()):
+        profile = m.classify()
+        got = {field: getattr(profile, field) for field in _SOCIETY_FIELDS}
+        assert got == _society_oracle(m), grid(m)
 
 
 def test_colluding_rows_share_a_positive_factor():
