@@ -480,7 +480,7 @@ def _check_optimum_topology(grid):
             continue
         yield point, conclusion, graph_to_profile(graphs[0]), note
     radii = tuple(grid.get("radii", (2, 3)))
-    tree_ns = tuple(grid.get("tree_ns", (4, 5)))
+    tree_ns = tuple(grid.get("tree_ns", grid.get("ns", (4, 5))))
     tree_alphas = _fracs(grid.get("tree_alphas", (Fraction(1, 2), Fraction(3, 2))))
     for n, alpha, R in product(tree_ns, tree_alphas, radii):
         config = NetGameConfig(n, alpha, R, UtilitySpec.linear())
@@ -588,9 +588,9 @@ def _check_tree(grid):
 
 
 def _check_edge_rule_existence(grid):
-    n = int(grid.get("n", 3))
+    ns = tuple(grid.get("ns", (3,)))
     alphas = _fracs(grid.get("alphas", (Fraction(1, 2), Fraction(3, 2))))
-    for alpha in alphas:
+    for n, alpha in product(ns, alphas):
         config = _linear_r1(n, alpha)
         game = NetworkCreationGame(config)
         for mask in range(1 << (n * n - n)):
@@ -631,6 +631,8 @@ _ADJACENCY_DIAGONALS = (EPS, ONE, Dual(Fraction(1, 2)))
 def _check_adjacency(grid):
     alphas = _fracs(grid.get("alphas", (Fraction(5, 4), Fraction(3, 2), Fraction(7, 4))))
     patterns = tuple(grid.get("patterns", _ADJACENCY_PATTERNS))
+    if "ns" in grid:
+        patterns = tuple(p for p in patterns if p[0] in grid["ns"])
     for alpha in alphas:
         for n, mask in patterns:
             diagonal = [_ADJACENCY_DIAGONALS[i % 3] for i in range(n)]
@@ -665,10 +667,10 @@ def _check_anarchy_monarchy(grid):
 
 
 def _flip_sweep(direction: str, grid, *, worst_only: bool):
-    n = int(grid.get("n", 3))
+    ns = tuple(grid.get("ns", (3,)))
     alphas = _fracs(grid.get("alphas", (Fraction(1, 2), Fraction(3, 2))))
     value = _MINUS_ONE if direction == "ill_will" else ONE
-    for alpha in alphas:
+    for n, alpha in product(ns, alphas):
         config = _linear_r1(n, alpha)
         for mask in range(1 << (n * n - n)):
             F = _mask_matrix(n, mask, (ONE,) * n, value)
@@ -733,7 +735,10 @@ def verify_lemma(claim, grid=None) -> tuple[LemmaVerdict, ...]:
 
     claim accepts the registry name or its catalog number ("1".."11",
     "c1").  grid overrides the default parameter ranges per key; unknown
-    keys are ignored by checkers that do not use them.
+    keys are ignored by checkers that do not use them.  "ns" sets the
+    player counts of every claim that has them: claim 8 keeps only its
+    patterns of those sizes, and claim 3's tree half uses it unless
+    "tree_ns" is given.
     """
     try:
         name, checker = _CLAIM_IDS[str(claim).lower()]

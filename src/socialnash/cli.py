@@ -285,16 +285,14 @@ def _cmd_experiment(args) -> int:
 
     if args.kind in ("windfall", "ill-will"):
         direction = "friendship" if args.kind == "windfall" else "ill_will"
-        n = ns[0] if args.n else 3
+        ns = tuple(args.n) if args.n else (3,)
         flips = _parse_flips(args.flip or [])
-        if args.matrix:
-            matrix = load_matrix(_read(args.matrix))
-        else:
-            matrix = build_archetype("identity", n)
+        base = load_matrix(_read(args.matrix)) if args.matrix else None
         if not args.alpha:
             alphas = (Fraction(3, 2),) if direction == "friendship" else (Fraction(1, 2),)
         reports = []
-        for alpha in alphas:
+        for n, alpha in product(ns, alphas):
+            matrix = base if base is not None else build_archetype("identity", n)
             config = NetGameConfig(n, alpha, 1, UtilitySpec.linear())
             reports.append(windfall_experiment(config, matrix, flips, direction))
         if args.csv:
@@ -353,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list every equilibrium of a game/matrix pair")
     p.add_argument("--game", required=True, help="game config JSON path")
     p.add_argument("--matrix", required=True, help="matrix JSON/CSV path")
-    p.add_argument("--cap", type=int, default=4, help="player cap for full search")
+    p.add_argument("--cap", type=int, default=5, help="player cap for full search")
     p.add_argument("--method", choices=("auto", "full", "edge-rule"), default="auto")
     p.add_argument("--out", default=None, help="report JSON path (default stdout)")
     p.set_defaults(func=_cmd_enumerate)

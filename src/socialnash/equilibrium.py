@@ -1,21 +1,25 @@
 """Equilibrium solvers: exhaustive, constructive, and dynamic.
 
-The exhaustive path tests every profile against every one-player
-deviation.  For radius-1 linear games there is an exact shortcut: a
-link's worth to a player does not depend on her other links, so each
-pair of players can be settled independently and the full equilibrium
-family is the product of the per-pair options.
+The exhaustive path tabulates each player's best responses against
+every edge set the other players can buy, then keeps the profiles in
+which every strategy is in its owner's table entry.  For radius-1
+linear games there is an exact shortcut: a link's worth to a player
+does not depend on her other links, so each pair of players can be
+settled independently and the full equilibrium family is the product
+of the per-pair options.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, product
+from operator import or_
 
 from .dual import Dual, ZERO, _cmp_parts
-from .game_core import best_deviation, social_cost, _improving_player
+from .game_core import best_deviation, social_cost
 from .netgame import (
     InducedGraph,
     NetGameConfig,
@@ -23,6 +27,7 @@ from .netgame import (
     PurchaseProfile,
     UtilitySpec,
     _reach_counts,
+    _strategy_space,
     induce_graph,
 )
 from .social_matrix import SocialRangeMatrix
@@ -228,15 +233,133 @@ def profile_key(profile: PurchaseProfile):
     return tuple(tuple(sorted(b)) for b in profile.buys)
 
 
-def enumerate_pne(config: NetGameConfig, F: SocialRangeMatrix, n_cap: int = 4, method: str = "auto") -> EquilibriumReport:
+def _common_denominator(values) -> int:
+    return math.lcm(*(Fraction(v).denominator for v in values))
+
+
+def _union(masks) -> int:
+    return reduce(or_, masks, 0)
+
+
+def _best_response_tables(config: NetGameConfig, F: SocialRangeMatrix, links) -> list[list[int]]:
+    """tables[i][E]: bitset of player i's best strategy indices when the
+    other players buy the edge mask E.
+
+    A deviation of player i changes only i's own payments and everyone's
+    reach, so i's perceived cost of strategy alt is, up to a term i
+    cannot change,
+
+        f_ii * alpha * |alt| - sum_j f_ij * g(reach_j(E | links(alt))).
+
+    Costs and weights are scaled to integers, so each value is an exact
+    (std, eps) pair of ints and pairs compare as tuples.
+    """
+    n = config.n
+    cost_scale = _common_denominator((config.alpha, *config.gains))
+    price = int(config.alpha * cost_scale)
+    gains = [int(v * cost_scale) for v in config.gains]
+    utilities = [[gains[r] for r in reach] for reach in _mask_reaches(n, config.R)]
+    entries = [F[i, j] for i in range(n) for j in range(n)]
+    std_scale = _common_denominator(w.std for w in entries)
+    eps_scale = _common_denominator(w.eps for w in entries)
+    tables = []
+    for i in range(n):
+        std_row = [int(Fraction(F[i, j].std) * std_scale) for j in range(n)]
+        eps_row = [int(Fraction(F[i, j].eps) * eps_scale) for j in range(n)]
+        benefit = [
+            (
+                sum(w * u for w, u in zip(std_row, util)),
+                sum(w * u for w, u in zip(eps_row, util)),
+            )
+            for util in utilities
+        ]
+        options = [
+            (mask, std_row[i] * price * mask.bit_count(), eps_row[i] * price * mask.bit_count())
+            for mask in links[i]
+        ]
+        table = []
+        for others in range(len(utilities)):
+            values = [
+                (pay_std - benefit[others | mask][0], pay_eps - benefit[others | mask][1])
+                for mask, pay_std, pay_eps in options
+            ]
+            low = min(values)
+            table.append(sum(1 << k for k, v in enumerate(values) if v == low))
+        tables.append(table)
+    return tables
+
+
+def _full_search(config: NetGameConfig, F: SocialRangeMatrix) -> list[PurchaseProfile]:
+    """Every equilibrium, read off per-player best-response tables.
+
+    A profile is an equilibrium when each player's strategy is in its
+    table entry for the links the others buy.  The search walks the
+    strategies of players 1..n-1, takes player 0's best responses from
+    its table, and checks the other players by table lookups; it stops
+    with SizeCapError once the family passes _FAMILY_GUARD.
+    """
+    if not config.g.is_exact:
+        raise ValueError(
+            "full search compares exact values only, so it does not "
+            "support sqrt or fractional power utilities yet"
+        )
+    n = config.n
+    if n == 1:
+        return [PurchaseProfile((frozenset(),))]
+    bits = {pair: 1 << b for b, pair in enumerate(combinations(range(n), 2))}
+    spaces = [_strategy_space(n, i) for i in range(n)]
+    # links[i][k]: the edge mask of player i's k-th strategy
+    links = [
+        [sum(bits[min(i, t), max(i, t)] for t in s) for s in spaces[i]]
+        for i in range(n)
+    ]
+    best = _best_response_tables(config, F, links)
+
+    # players 2..n-1, walked once: their strategy indices, the union of
+    # their links, and for each of them the union of the others' links
+    middle = []
+    for rest in product(*(range(len(spaces[i])) for i in range(2, n))):
+        masks = [links[i][k] for i, k in enumerate(rest, 2)]
+        without = [_union(masks[:j] + masks[j + 1 :]) for j in range(n - 2)]
+        middle.append((rest, _union(masks), without))
+    found = []
+    for k1, m1 in enumerate(links[1]):
+        for rest, union, without in middle:
+            candidates = best[0][union | m1]
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                k0 = low.bit_length() - 1
+                m0 = links[0][k0]
+                if not best[1][union | m0] >> k1 & 1:
+                    continue
+                if all(
+                    table[others | m0 | m1] >> k & 1
+                    for table, others, k in zip(best[2:], without, rest)
+                ):
+                    found.append((k0, k1, *rest))
+                    if len(found) > _FAMILY_GUARD:
+                        raise SizeCapError(
+                            f"equilibrium family has more than {_FAMILY_GUARD} "
+                            f"members, above the materialization guard"
+                        )
+    return [
+        PurchaseProfile(tuple(spaces[i][k] for i, k in enumerate(profile)))
+        for profile in found
+    ]
+
+
+def enumerate_pne(config: NetGameConfig, F: SocialRangeMatrix, n_cap: int = 5, method: str = "auto") -> EquilibriumReport:
     """Find every equilibrium, the social optimum, and summary costs.
 
     method "auto" takes the exact per-pair shortcut whenever the game is
     radius-1 linear and falls back to full profile-space search otherwise;
     "full" and "edge-rule" force one path.  Full search is capped at n_cap
-    players; the shortcut is allowed one player more than the cap (at
-    least 5) since its cost scales with the equilibrium family, which is
-    separately bounded.
+    players (default 5) and needs exact utility values, so it rejects sqrt
+    and fractional power utilities; the shortcut is capped at
+    max(n_cap, 5) players since its cost scales with the equilibrium
+    family.  Either path refuses to materialize a family of more than
+    _FAMILY_GUARD equilibria.
     """
     if F.n != config.n:
         raise ValueError(f"matrix is {F.n}x{F.n} but the game has {config.n} players")
@@ -267,10 +390,7 @@ def enumerate_pne(config: NetGameConfig, F: SocialRangeMatrix, n_cap: int = 4, m
     else:
         if n > n_cap:
             raise SizeCapError(f"{n} players exceeds the cap of {n_cap}")
-        found = []
-        for combo in product(*(game.strategy_space(i) for i in range(n))):
-            if _improving_player(game, F, combo) is None:
-                found.append(PurchaseProfile(combo))
+        found = _full_search(config, F)
 
     found.sort(key=profile_key)
     pne = tuple((p, social_cost(game, p)) for p in found)
@@ -319,23 +439,30 @@ class OptimumResult:
     profile: PurchaseProfile
 
 
+def _mask_reaches(n: int, R: int):
+    """Yield the reach of every node for each graph on n nodes, in edge-mask
+    order; bit b of a mask is the b-th pair of combinations(range(n), 2)."""
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        adjacency = [0] * n
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i, j = pairs[low.bit_length() - 1]
+            adjacency[i] |= 1 << j
+            adjacency[j] |= 1 << i
+        yield _reach_counts(adjacency, R)
+
+
 @lru_cache(maxsize=64)
 def _benefit_table(n: int, R: int, g: UtilitySpec) -> tuple:
     """Total group utility for every graph on n nodes, indexed by edge mask."""
     gains = tuple(g(x) for x in range(n))
-    pairs = list(combinations(range(n), 2))
-    table = []
-    for mask in range(1 << len(pairs)):
-        adjacency = [0] * n
-        for bit, (i, j) in enumerate(pairs):
-            if mask >> bit & 1:
-                adjacency[i] |= 1 << j
-                adjacency[j] |= 1 << i
-        total = gains[0] * n  # zero, but keeps the float/exact type uniform
-        for reach in _reach_counts(adjacency, R):
-            total += gains[reach]
-        table.append(total)
-    return tuple(table)
+    zero = gains[0] * n  # zero, but keeps the float/exact type uniform
+    return tuple(
+        sum((gains[r] for r in reach), zero) for reach in _mask_reaches(n, R)
+    )
 
 
 def _cost_scan(config: NetGameConfig):

@@ -141,11 +141,15 @@ def epsilon_diagonal_sweep():
     full search runs once; the elapsed time is part of the result.
     """
     started = time.perf_counter()
+    rng = deterministic_rng("epsilon-diagonal-five")
+    societies = [(3, mask) for mask in range(64)]
+    societies += [(5, 0), (5, (1 << 20) - 1)]
+    societies += [(5, rng.randrange(1 << 20)) for _ in range(2)]
     cases = []
-    for mask in range(64):
-        matrix = binary_matrix(3, mask, 1, (EPS,))
+    for n, mask in societies:
+        matrix = binary_matrix(n, mask, 1, (EPS,))
         for alpha in (HALF, THREE_HALVES):
-            config = linear_config(3, alpha)
+            config = linear_config(n, alpha)
             cases.append((matrix, config, pne_set(config, matrix, "full")))
     return cases, time.perf_counter() - started
 

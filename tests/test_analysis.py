@@ -269,6 +269,24 @@ def test_edge_rule_existence_claim():
     assert all(v.ok for v in verdicts)
 
 
+def test_player_counts_reach_every_sized_claim():
+    verdicts = verify_lemma("7", {"ns": (2,)})
+    # 4 binary patterns at each of the two default prices
+    assert len(verdicts) == 8
+    assert all(v.point.startswith("n=2 ") for v in verdicts)
+    for claim in ("10", "11", "c1"):
+        verdicts = verify_lemma(claim, {"ns": (2,), "alphas": ("3/2",)})
+        assert verdicts
+        assert all(v.point.startswith("n=2 ") for v in verdicts)
+    adjacency = verify_lemma("8", {"ns": (4,), "alphas": ("3/2",)})
+    assert len(adjacency) == 8
+    assert all(v.point.startswith("n=4 ") for v in adjacency)
+    optima = verify_lemma("3", {"ns": (3,)})
+    # the tree half (radii 2 and 3) follows ns too
+    assert any(v.point.endswith("R=2") for v in optima)
+    assert all(v.point.startswith("n=3 ") for v in optima)
+
+
 def test_flip_claims_small_grid():
     for claim in ("10", "11", "c1"):
         verdicts = verify_lemma(claim, {"alphas": ("3/2",)})

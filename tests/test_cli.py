@@ -94,13 +94,32 @@ def test_enumerate_size_caps_exit_two(tmp_path, capsys):
     assert main(["enumerate", "--game", game6, "--matrix", matrix6]) == 2
     assert "cap of 5" in capsys.readouterr().err
 
-    game5, _ = write_config(tmp_path, "game5.json", 5, "1/2")
-    matrix5 = write_matrix(tmp_path, "id5.csv", build_archetype("identity", 5))
     assert (
-        main(["enumerate", "--game", game5, "--matrix", matrix5, "--method", "full"])
+        main(["enumerate", "--game", game6, "--matrix", matrix6, "--method", "full"])
         == 2
     )
-    assert "cap of 4" in capsys.readouterr().err
+    assert "cap of 5" in capsys.readouterr().err
+
+
+def test_enumerate_full_search_at_five_players(tmp_path, capsys):
+    game, _ = write_config(tmp_path, "game5.json", 5, "3/2", R=2)
+    matrix = write_matrix(tmp_path, "alt5.csv", build_archetype("altruistic", 5))
+    code, payload = run_json(
+        capsys, ["enumerate", "--game", game, "--matrix", matrix, "--method", "full"]
+    )
+    assert code == 0
+    assert payload["method"] == "full"
+    assert payload["pne_count"] == 624
+
+
+def test_enumerate_full_search_family_guard_exit_two(tmp_path, capsys):
+    game, _ = write_config(tmp_path, "game5.json", 5, "1/2", R=2)
+    matrix = tmp_path / "zero5.csv"
+    matrix.write_text("0,0,0,0,0\n" * 5, encoding="utf-8")
+    assert main(["enumerate", "--game", game, "--matrix", str(matrix)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "materialization guard" in captured.err
 
 
 def test_enumerate_size_mismatch_exit_one(tmp_path, capsys, identity3):
@@ -310,6 +329,19 @@ def test_experiment_ill_will_mutual_flip(capsys):
     assert payload[0]["direction"] == "ill_will"
     assert payload[0]["alpha"] == "1/2"
     assert payload[0]["worst_delta"]["exact"] == "3/2"
+
+
+def test_experiment_windfall_runs_every_n(capsys):
+    argv = ["experiment", "--kind", "windfall", "--flip", "0:1"]
+    single = main(argv + ["--n", "3"])
+    single_out = capsys.readouterr().out
+    code, payload = run_json(capsys, argv + ["--n", "3", "--n", "4"])
+    assert single == code == 0
+    assert [r["n"] for r in payload] == [3, 4]
+    assert json.loads(single_out) == payload[:1]
+    # one --n prints what the default point prints
+    main(argv)
+    assert capsys.readouterr().out == single_out
 
 
 def test_experiment_windfall_requires_flips(capsys):

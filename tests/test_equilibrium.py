@@ -23,7 +23,7 @@ from socialnash.equilibrium import (
     social_optimum_graphs,
     tree_ne_condition,
 )
-from socialnash.game_core import is_pne
+from socialnash.game_core import _improving_player, is_pne
 from socialnash.netgame import (
     NetGameConfig,
     NetworkCreationGame,
@@ -34,7 +34,7 @@ from socialnash.netgame import (
 )
 from socialnash.social_matrix import SocialRangeMatrix, build_archetype
 
-from helpers import all_pairs_distances
+from helpers import all_pairs_distances, deterministic_rng
 
 
 def linear_config(n, alpha, R=1):
@@ -236,19 +236,114 @@ def test_enumerate_caps():
     identity6 = build_archetype("identity", 6)
     with pytest.raises(SizeCapError, match="cap of 5"):
         enumerate_pne(linear_config(6, HALF), identity6)
+    with pytest.raises(SizeCapError, match="cap of 5"):
+        enumerate_pne(linear_config(6, HALF), identity6, method="full")
     identity5 = build_archetype("identity", 5)
     with pytest.raises(SizeCapError, match="cap of 4"):
-        enumerate_pne(linear_config(5, HALF), identity5, method="full")
-    # the shortcut handles five players at the default cap
-    report = enumerate_pne(linear_config(5, HALF), identity5)
+        enumerate_pne(linear_config(5, HALF), identity5, n_cap=4, method="full")
+    # the shortcut is allowed max(n_cap, 5) players
+    report = enumerate_pne(linear_config(5, HALF), identity5, n_cap=4)
     assert len(report.pne) == 2**10
 
 
 def test_enumerate_family_guard():
-    config = linear_config(5, HALF)
+    # every profile of the indifferent society is an equilibrium: 2**20 of
+    # them at five players, on the shortcut (R=1) and in full search (R=2)
     F = rows([[0] * 5 for _ in range(5)])
-    with pytest.raises(SizeCapError, match="materialization guard"):
-        enumerate_pne(config, F)
+    for R in (1, 2):
+        with pytest.raises(SizeCapError, match="materialization guard"):
+            enumerate_pne(linear_config(5, HALF, R=R), F)
+
+
+def test_full_search_rejects_inexact_utilities():
+    F = build_archetype("identity", 2)
+    for g in (UtilitySpec.sqrt(), UtilitySpec.power(HALF)):
+        config = NetGameConfig(n=2, alpha=Fraction(1), R=1, g=g)
+        with pytest.raises(ValueError, match="sqrt or fractional power"):
+            enumerate_pne(config, F, method="full")
+        with pytest.raises(ValueError, match="sqrt or fractional power"):
+            enumerate_pne(config, F)
+
+
+def test_full_search_keeps_fractional_eps_weights():
+    # at alpha 1 the link costs player 0 nothing on balance and gives
+    # player 1 one more neighbor, worth half an eps to player 0
+    config = linear_config(2, 1)
+    F = rows([["1", "1/2*eps"], ["0", "1"]])
+    report = enumerate_pne(config, F, method="full")
+    assert [p for p, _ in report.pne] == [profile(set(), {0}), profile({1}, set())]
+
+
+def test_full_search_at_five_players():
+    config = NetGameConfig(n=5, alpha=Fraction(3, 2), R=2, g=UtilitySpec.linear())
+    F = build_archetype("altruistic", 5)
+    report = enumerate_pne(config, F)
+    assert report.method == "full"
+    assert len(report.pne) == 624
+    game = NetworkCreationGame(config)
+    for found, _ in report.pne[::50]:
+        assert is_pne(game, F, found)
+
+
+_ORACLE_WEIGHTS = (
+    ZERO,
+    EPS,
+    -EPS,
+    Dual(-1),
+    Dual(1),
+    Dual(2),
+    Dual(HALF),
+    Dual(Fraction(1, 3), -2),
+    Dual(Fraction(-3, 2), 1),
+    Dual(1, Fraction(1, 7)),
+    Dual(0, HALF),
+    Dual(Fraction(2, 3), Fraction(-5, 3)),
+)
+
+
+# with negative weights in the mix most four-player games have no
+# equilibrium at all, so those draw from the nonnegative standard parts
+_NONNEGATIVE_WEIGHTS = tuple(w for w in _ORACLE_WEIGHTS if w.std >= 0)
+
+
+def _random_oracle_instance(rng, n, R, weights=_ORACLE_WEIGHTS):
+    kind = rng.choice(("linear", "power", "table"))
+    if kind == "linear":
+        g = UtilitySpec.linear()
+    elif kind == "power":
+        g = UtilitySpec.power(rng.choice((1, 2, 3)))
+    else:
+        values = [Fraction(0)]
+        for _ in range(n - 1):
+            values.append(values[-1] + Fraction(rng.randint(-2, 6), rng.randint(1, 3)))
+        g = UtilitySpec.table(values)
+    alpha = rng.choice((0, Fraction(1, 3), 1, Fraction(3, 2), 2, 3))
+    config = NetGameConfig(n=n, alpha=Fraction(alpha), R=R, g=g)
+    F = SocialRangeMatrix(
+        tuple(tuple(rng.choice(weights) for _ in range(n)) for _ in range(n))
+    )
+    return config, F
+
+
+def test_full_search_matches_the_generic_deviation_oracle():
+    rng = deterministic_rng("full-search-oracle")
+    cases = [(2, rng.randint(0, 3), _ORACLE_WEIGHTS) for _ in range(12)]
+    cases += [(3, rng.randint(0, 3), _ORACLE_WEIGHTS) for _ in range(24)]
+    # the generic oracle takes seconds per four-player game, so those get
+    # one game per radius that reaches past the neighbors (criterion 09
+    # checks radius 1 against the per-link rule)
+    cases += [(4, R, _NONNEGATIVE_WEIGHTS) for R in (2, 3)]
+    for n, R, weights in cases:
+        config, F = _random_oracle_instance(rng, n, R, weights)
+        game = NetworkCreationGame(config)
+        oracle = {
+            PurchaseProfile(combo)
+            for combo in product(*(game.strategy_space(i) for i in range(n)))
+            if _improving_player(game, F, combo) is None
+        }
+        found = [p for p, _ in enumerate_pne(config, F, method="full").pne]
+        assert len(found) == len(set(found))
+        assert set(found) == oracle, (config, F)
 
 
 def test_enumerate_validation():
